@@ -1,0 +1,14 @@
+"""Put ``src`` and the repository root on the path, and strip the
+``REPRO_*`` switches before anything imports ``repro``."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for entry in (ROOT, os.path.join(ROOT, "src")):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
+
+from perfbench.env import strip_environ  # noqa: E402
+
+strip_environ()
