@@ -10,10 +10,10 @@ get one.  This package is the robustness layer grown from that gap:
 * :mod:`repro.faults.plan` -- :class:`FaultPlan`, a model bound to a
   seeded coin stream: the deterministic fault *schedule* both engines
   consult, and the emitter of ``fault.injected`` trace events;
-* :mod:`repro.faults.retry` -- :func:`run_with_retry`, the bounded
-  verification-driven retry loop with budget accounting and the graceful
-  degradation contract (imported lazily; it sits above the protocol
-  layer);
+* :mod:`repro.faults.retry` -- the one verify -> confirm -> degrade
+  attempt loop and its two-party adapter :func:`run_with_retry`, with
+  budget accounting and the graceful degradation contract (imported
+  lazily; it sits above the protocol layer);
 * :mod:`repro.faults.state` -- the process-global kill-switch, off by
   default and costing one bool check per send while off.
 

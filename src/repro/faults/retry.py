@@ -1,4 +1,4 @@
-"""Verification-driven retry with budget accounting and graceful degradation.
+"""The one verify -> confirm -> degrade loop, and its two-party adapter.
 
 The paper's one-sided invariants are exactly what a system needs to detect
 and repair channel damage: Lemma 3.3 / Corollary 3.4 guarantee each
@@ -7,43 +7,60 @@ party's candidate always lies inside its own input and contains
 so output agreement is a sound end-to-end verification, and any observable
 damage (a strict-codec decode error, a desynchronized channel, a budget
 abort, or plain disagreement) can be answered by re-running with fresh
-shared randomness.
+shared randomness (Section 4: "repeating the protocol if it hasn't
+succeeded").
 
-:func:`run_with_retry` packages that loop:
+:func:`run_attempts` is that rule, written once for every caller.  It owns
+the attempt iteration, the one exception -> failure-reason table
+(:data:`FAILURE_REASONS`), the suspect-confirmation rule, the reasons list
+and the per-attempt trace event.  Callers are adapters: each supplies one
+attempt and builds its own outcome type from the loop's verdict.
 
-* each attempt runs the wrapped protocol under the active fault plan with
-  an attempt-derived seed (fresh hash functions per retry, the same
-  repair the paper's own verification loops use) and an optional
-  per-attempt bit budget (the "timeout" of the policy);
-* all attempts share one transcript, so ``total_bits`` is the *exact*
-  across-attempt spend -- including bits paid before a mid-run failure;
-* failed attempts emit ``retry.attempt`` events and accrue deterministic
-  simulated backoff; an exhausted budget emits ``retry.exhausted`` +
-  ``degraded.output`` and returns the **degradation contract**: each party
-  outputs its own input set, the only candidate that is certifiably a
-  superset of ``S n T`` from within that party's input without any trusted
-  communication.  Nothing raises mid-protocol on channel damage.
+* :func:`run_with_retry` (this module) adapts a two-party protocol:
+  attempt-derived seeds (:func:`attempt_seed`), one shared transcript (so
+  ``total_bits`` is the exact across-attempt spend), the policy's
+  per-attempt bit budget and simulated backoff.  When no attempt is
+  accepted each party outputs its own input, the only candidate that is
+  certifiably a superset of ``S n T`` without trusted communication.
+* :func:`repro.multiparty.recovery.run_with_recovery` adapts the m-player
+  protocols: survivor roster, crash accounting, recovery-bit split.
 
-One subtlety makes the loop converge under fire: agreement certifies
-exactness *on a reliable channel only*.  A single corrupted hash message
-can remove the same true element from **both** candidates (the peer filters
-against the corrupted list, then the sender filters against the peer's
-already-filtered reply), so the parties agree on a wrong set and no
-agreement check can tell.  The loop therefore treats an attempt that
-reached agreement *while faults fired* as a **suspect** candidate: it is
-accepted only once an independent attempt -- fresh shared randomness, so a
-consistent corruption cannot replicate -- reproduces the same set (or an
-attempt completes with no faults fired at all).  Attempts untouched by
-faults accept immediately, so the reliable fast path pays nothing.
+Two rules make the loop sound under fire:
+
+* **confirmation** -- agreement certifies exactness *on a reliable channel
+  only*.  A single corrupted hash message can remove the same true element
+  from **both** candidates (the peer filters against the corrupted list,
+  then the sender filters against the peer's already-filtered reply), so
+  the parties agree on a wrong set and no agreement check can tell.  A
+  candidate from an attempt a corrupting fault touched is therefore only a
+  **suspect**: it is accepted once an independent attempt -- fresh shared
+  randomness, so a consistent corruption cannot replicate -- reproduces
+  it.  Attempts no corrupting fault touched accept immediately, so the
+  reliable fast path pays nothing.  (Crashes are not corruption: the
+  m-player adapter discards crash-touched attempts on its own.)
+* **no fault, no retry** -- an attempt that raised while no fault fired
+  is a bug, not channel damage, and re-raises instead of being masked as
+  degradation.  A budget abort (``ProtocolAborted``) is the policy's own
+  timeout and stays an ordinary failed attempt.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.comm.errors import (
+    MessageToFinishedPlayer,
     ProtocolAborted,
     ProtocolDeadlock,
     ProtocolError,
@@ -54,8 +71,17 @@ from repro.faults.plan import FaultPlan
 from repro.faults.state import STATE as _FAULTS
 from repro.obs.state import STATE as _OBS
 from repro.protocols.base import validate_set_pair
+from repro.util.rng import derive
 
-__all__ = ["RetryPolicy", "RobustOutcome", "attempt_seed", "run_with_retry"]
+__all__ = [
+    "FAILURE_REASONS",
+    "RetryPolicy",
+    "RobustOutcome",
+    "attempt_seed",
+    "failure_reason",
+    "run_attempts",
+    "run_with_retry",
+]
 
 
 @dataclass(frozen=True)
@@ -174,25 +200,102 @@ class RobustOutcome:
 def attempt_seed(seed: int, attempt: int) -> int:
     """Derive attempt ``attempt``'s master seed from the session seed.
 
-    SHA-256 based like :mod:`repro.util.rng`'s label derivation, so
+    A 64-bit :func:`repro.util.rng.derive` under its own namespace, so
     attempts get independent shared randomness (retrying with the same
     hash functions would deterministically re-hit a collision) while the
     whole session stays a pure function of ``seed``.
     """
-    digest = hashlib.sha256(f"repro.faults.retry:{seed}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return derive("repro.faults.retry", seed, attempt, bits=64)
 
 
-def _failure_reason(exc: Exception) -> str:
-    if isinstance(exc, ProtocolAborted):
-        return "aborted"
-    if isinstance(exc, ProtocolDeadlock):
-        return "deadlock"
-    if isinstance(exc, ProtocolViolation):
-        return "violation"
-    if isinstance(exc, ProtocolError):  # future subclasses
-        return "protocol-error"
-    return "decode-error"
+#: Exception -> failure reason, most specific type first.
+FAILURE_REASONS = (
+    # Before its ProtocolViolation parent: the peer is gone, not buggy.
+    (MessageToFinishedPlayer, "mail-to-dead"),
+    (ProtocolAborted, "aborted"),
+    (ProtocolDeadlock, "deadlock"),
+    (ProtocolViolation, "violation"),
+    (ProtocolError, "protocol-error"),
+    # Strict codecs refuse corrupted payloads: a failed verification
+    # exchange, not a crash.
+    (ValueError, "decode-error"),
+)
+
+
+def failure_reason(exc: Exception) -> str:
+    """The reason recorded for an attempt that raised ``exc``."""
+    return next(
+        reason for kind, reason in FAILURE_REASONS if isinstance(exc, kind)
+    )
+
+
+def _fault_counts(plan: Optional[FaultPlan]) -> Tuple[int, int]:
+    """``(faults fired, crashes fired)`` so far under ``plan``."""
+    if plan is None:
+        return 0, 0
+    return plan.injected, plan.counts.get("crash", 0)
+
+
+#: What one attempt reports: an agreed candidate, a failure reason, or
+#: ``None`` when there is nothing left to run.
+AttemptResult = Union[FrozenSet[int], str, None]
+
+
+def run_attempts(
+    max_attempts: int,
+    one_attempt: Callable[[int], AttemptResult],
+    *,
+    plan: Optional[FaultPlan],
+    event: Optional[str],
+    protocol: str,
+    event_fields: Callable[[], Dict[str, Any]] = dict,
+) -> Tuple[Optional[FrozenSet[int]], int, List[str]]:
+    """Run attempts until one is verified and confirmed, or none are left.
+
+    :param max_attempts: the attempt budget.
+    :param one_attempt: runs the 0-based attempt it is given and returns
+        the agreed candidate set, a failure reason, or ``None`` to stop
+        early; may raise any type in :data:`FAILURE_REASONS`.
+    :param plan: the session's fault plan (``None``: reliable), read to
+        tell corrupted, crashed and untouched attempts apart.
+    :param event: the per-failed-attempt trace event (``None``: silent),
+        emitted with ``protocol``, ``attempt``, ``reason`` and
+        ``event_fields()``.
+    :param protocol: the protocol name the events carry.
+    :returns: ``(candidate, attempts, reasons)`` -- the accepted candidate
+        (``None`` when the caller must degrade), the attempts consumed, and
+        the failure reason of every failed attempt.
+    """
+    reasons: List[str] = []
+    suspect: Optional[FrozenSet[int]] = None
+    for attempt in range(max_attempts):
+        injected, crashes = _fault_counts(plan)
+        try:
+            result = one_attempt(attempt)
+        except (ProtocolError, ValueError) as exc:
+            if _fault_counts(plan)[0] == injected and not isinstance(
+                exc, ProtocolAborted
+            ):
+                raise  # no fault fired: a bug, not channel damage
+            result = failure_reason(exc)
+        if result is None:
+            return None, attempt, reasons
+        if not isinstance(result, str):
+            now_injected, now_crashes = _fault_counts(plan)
+            corrupted = (now_injected - injected) - (now_crashes - crashes)
+            if corrupted == 0 or result == suspect:
+                return result, attempt + 1, reasons
+            suspect, result = result, "unconfirmed"
+        reasons.append(result)
+        if event is not None and _OBS.active:
+            _OBS.tracer.emit(
+                event,
+                protocol=protocol,
+                attempt=attempt,
+                reason=result,
+                **event_fields(),
+            )
+    return None, max_attempts, reasons
 
 
 def run_with_retry(
@@ -217,108 +320,66 @@ def run_with_retry(
         :func:`repro.faults.plan.install`), else a reliable channel.
     :returns: a :class:`RobustOutcome`; never raises on channel damage
         (input-validation errors still raise -- those are caller bugs,
-        checked before any attempt runs).
+        checked before any attempt runs -- and so does a failure no fault
+        caused).
     """
     policy = policy if policy is not None else RetryPolicy()
-    # Validate up-front so a malformed instance raises as a caller bug
-    # instead of being mistaken for channel damage inside the loop.
     s, t = validate_set_pair(
         alice_set, bob_set, protocol.universe_size, protocol.max_set_size
     )
     if plan is None and _FAULTS.active:
         # Resolve the global plan here (rather than letting the engine do
-        # it) so the confirmation rule below can read its fault counters.
+        # it) so the loop and the adaptive budget can read its counters.
         plan = _FAULTS.plan
     injector = plan.inject_two_party if plan is not None else None
+    session_faults = plan.injected if plan is not None else 0
     record = Transcript()
-    reasons: List[str] = []
     last_candidates: Optional[Tuple] = None
-    suspect: Optional[FrozenSet[int]] = None
-    delay = 0.0
-    session_fault_base = plan.injected if plan is not None else 0
-    for attempt in range(policy.max_attempts):
-        faults_before = plan.injected if plan is not None else 0
-        observed_faults = faults_before - session_fault_base
-        try:
-            outcome = protocol.run(
-                s,
-                t,
-                seed=attempt_seed(seed, attempt),
-                max_total_bits=policy.effective_budget(attempt, observed_faults),
-                transcript=record,
-                fault_injector=injector,
-            )
-        except ProtocolError as exc:
-            reason = _failure_reason(exc)
-        except ValueError:
-            # Strict codecs refuse corrupted payloads; treat as a failed
-            # verification exchange, not a crash.
-            reason = "decode-error"
-        else:
-            complete = (
-                outcome.alice_output is not None
-                and outcome.bob_output is not None
-            )
-            if complete and outcome.alice_output == outcome.bob_output:
-                faults_during = (
-                    plan.injected - faults_before if plan is not None else 0
-                )
-                candidate = outcome.alice_output
-                # Corollary 3.4: agreement certifies exactness -- over a
-                # reliable channel.  An attempt faults actually touched can
-                # agree on a consistently corrupted set, so it is accepted
-                # only as confirmation of (or once confirmed by) an
-                # independent attempt reproducing the same set.
-                if faults_during == 0 or candidate == suspect:
-                    return RobustOutcome(
-                        alice_output=outcome.alice_output,
-                        bob_output=outcome.bob_output,
-                        protocol_name=protocol.name,
-                        attempts=attempt + 1,
-                        total_bits=record.total_bits,
-                        total_messages=record.num_messages,
-                        degraded=False,
-                        simulated_delay=delay,
-                        failure_reasons=reasons,
-                    )
-                suspect = candidate
-                last_candidates = (outcome.alice_output, outcome.bob_output)
-                reason = "unconfirmed"
-            else:
-                if complete:
-                    last_candidates = (
-                        outcome.alice_output,
-                        outcome.bob_output,
-                    )
-                reason = "disagreement" if complete else "incomplete"
-        reasons.append(reason)
-        delay += policy.delay(attempt)
-        if _OBS.active:
-            _OBS.tracer.emit(
-                "retry.attempt",
-                protocol=protocol.name,
-                attempt=attempt,
-                reason=reason,
-            )
-    if _OBS.active:
+
+    def one_attempt(attempt: int) -> AttemptResult:
+        nonlocal last_candidates
+        observed = plan.injected - session_faults if plan is not None else 0
+        outcome = protocol.run(
+            s,
+            t,
+            seed=attempt_seed(seed, attempt),
+            max_total_bits=policy.effective_budget(attempt, observed),
+            transcript=record,
+            fault_injector=injector,
+        )
+        if outcome.alice_output is None or outcome.bob_output is None:
+            return "incomplete"
+        last_candidates = (outcome.alice_output, outcome.bob_output)
+        if outcome.alice_output != outcome.bob_output:
+            return "disagreement"
+        return outcome.alice_output
+
+    candidate, attempts, reasons = run_attempts(
+        policy.max_attempts,
+        one_attempt,
+        plan=plan,
+        event="retry.attempt",
+        protocol=protocol.name,
+    )
+    degraded = candidate is None
+    if degraded and _OBS.active:
         _OBS.tracer.emit(
-            "retry.exhausted",
-            protocol=protocol.name,
-            attempts=policy.max_attempts,
+            "retry.exhausted", protocol=protocol.name, attempts=attempts
         )
         _OBS.tracer.emit(
             "degraded.output", protocol=protocol.name, mode="superset"
         )
     return RobustOutcome(
-        alice_output=s,
-        bob_output=t,
+        alice_output=s if degraded else candidate,
+        bob_output=t if degraded else candidate,
         protocol_name=protocol.name,
-        attempts=policy.max_attempts,
+        attempts=attempts,
         total_bits=record.total_bits,
         total_messages=record.num_messages,
-        degraded=True,
-        degraded_mode="superset",
-        simulated_delay=delay,
+        degraded=degraded,
+        degraded_mode="superset" if degraded else None,
+        simulated_delay=sum(map(policy.delay, range(len(reasons))), 0.0),
         failure_reasons=reasons,
-        last_candidates=last_candidates,
+        # Unverified candidates are diagnostics only, kept on degradation.
+        last_candidates=last_candidates if degraded else None,
     )

@@ -29,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Generator, Iterable, List, Optional, Sequence
 
-from repro.comm.errors import MessageToFinishedPlayer, ProtocolDeadlock
 from repro.core.amplify import AmplifiedIntersection
+from repro.faults.state import STATE as _FAULTS
+from repro.multiparty import recovery
 from repro.multiparty.network import (
     MultipartyOutcome,
     PlayerContext,
     RunningTotals,
     TwoPartyAdapter,
-    run_message_passing,
 )
 from repro.multiparty.pairing import drive_adapters, pair_context
 
@@ -56,7 +56,7 @@ class MultipartyResult:
 
     intersection: FrozenSet[int]
     outcome: MultipartyOutcome
-    robust: Optional["MultipartyRobustOutcome"] = None
+    robust: Optional[recovery.MultipartyRobustOutcome] = None
 
     @property
     def total_bits(self) -> int:
@@ -96,127 +96,58 @@ def _run_with_contract(
 ) -> MultipartyResult:
     """The shared ``run()`` body of both multiparty protocols.
 
-    Validates inputs, then picks the execution path:
+    Both paths are the one verify -> confirm -> degrade loop
+    (:func:`repro.faults.retry.run_attempts`) through its m-player adapter,
+    which validates the inputs once, before any attempt:
 
     * ``recover=None`` (the default) auto-enables the recovery layer
       exactly when a fault plan is installed (``REPRO_FAULTS`` or an
-      ``inject()`` block) -- a reliable network never pays the wrapper
-      and stays bit-identical to the pre-recovery code path;
-    * ``recover=True`` forces the recovery layer;
-    * ``recover=False`` runs the raw BSP scheduler, but still honours the
-      degradation contract: a crash surfacing as
-      :class:`~repro.comm.errors.MessageToFinishedPlayer` (or as a
-      crashed root with no output) becomes a typed certified-superset
-      :class:`MultipartyResult` instead of an escaping error.
+      ``inject()`` block);
+    * ``recover=True`` forces :func:`~repro.multiparty.recovery.run_with_recovery`;
+    * ``recover=False`` is a one-attempt run of the same loop without the
+      ``recovery.*`` events.  An exact result comes back bare
+      (``robust`` is ``None``), bit-identical to the raw BSP run; a
+      crash or corruption degrades to the typed certified-superset
+      :class:`MultipartyResult` instead of escaping as an error.
     """
-    if not sets:
-        raise ValueError("need at least one player")
-    names = [f"p{index:05d}" for index in range(len(sets))]
-    inputs = {
-        name: frozenset(player_set) for name, player_set in zip(names, sets)
-    }
-    for name, player_set in inputs.items():
-        if len(player_set) > protocol.max_set_size:
-            raise ValueError(
-                f"{name} holds {len(player_set)} elements; k="
-                f"{protocol.max_set_size}"
-            )
-    if len(sets) == 1:
-        only = inputs[names[0]]
-        return MultipartyResult(
-            intersection=only,
-            outcome=MultipartyOutcome(
-                outputs={names[0]: only},
-                bits_sent={names[0]: 0},
-                bits_received={names[0]: 0},
-                rounds=0,
-            ),
-        )
     if recover is None:
-        from repro.faults.state import STATE as _FAULTS
-
         recover = _FAULTS.active
+    # A lone player needs no network, so there is nothing to recover.
+    recover = recover and len(sets) > 1
     if recover:
-        from repro.multiparty.recovery import run_with_recovery
-
-        robust = run_with_recovery(protocol, sets, seed=seed)
-        outcome = robust.final_outcome
-        if outcome is None:
-            holder = robust.survivors[0] if robust.survivors else names[0]
-            outcome = MultipartyOutcome(
-                outputs={holder: robust.intersection},
-                bits_sent={},
-                bits_received={},
-                rounds=robust.total_rounds,
-                crashed=robust.crashed,
+        robust = recovery.run_with_recovery(protocol, sets, seed=seed)
+        totals = None
+    else:
+        robust, totals = recovery.run_session(
+            protocol, sets, seed, max_attempts=1, plan=None, traced=False
+        )
+    outcome = robust.final_outcome
+    if outcome is None:
+        # No attempt was accepted (a lone player, a lone survivor, or a
+        # degraded run): the answering player holds the output.  The
+        # one-attempt run reports its per-player bits; the recovery layer
+        # keeps only session totals, so its players read zero.
+        if totals is None:
+            names = [recovery.player_name(i) for i in range(len(sets))]
+            totals = RunningTotals(
+                bits_sent=dict.fromkeys(names, 0),
+                bits_received=dict.fromkeys(names, 0),
             )
-        return MultipartyResult(
-            intersection=robust.intersection, outcome=outcome, robust=robust
+        outcome = MultipartyOutcome(
+            outputs={
+                (robust.survivors or (recovery.player_name(0),))[0]:
+                robust.intersection
+            },
+            bits_sent=totals.bits_sent,
+            bits_received=totals.bits_received,
+            rounds=robust.total_rounds,
+            crashed=robust.crashed,
         )
-
-    totals = RunningTotals()
-    outcome = None
-    final = None
-    reason = "root-crashed"
-    try:
-        outcome = run_message_passing(
-            {name: protocol._player for name in names},
-            inputs,
-            shared_seed=seed,
-            totals=totals,
-        )
-        final = outcome.outputs[names[0]]
-    except (MessageToFinishedPlayer, ProtocolDeadlock) as exc:
-        if not totals.crashed:
-            # No casualties means this is a genuine protocol bug, not
-            # channel damage; masking it as degradation would hide it.
-            raise
-        reason = (
-            "mail-to-dead"
-            if isinstance(exc, MessageToFinishedPlayer)
-            else "deadlock"
-        )
-    if final is None:
-        # A fail-stop crash either mailed a finished player or took the
-        # output-holding root with it.  Both used to escape as bare errors
-        # (losing the accounting with them); the contract is a *typed*
-        # certified-superset degradation over what the canonical root
-        # knew: its own input.
-        from repro.multiparty.recovery import MultipartyRobustOutcome
-        from repro.obs.state import STATE as _OBS
-
-        crashed = tuple(totals.crashed)
-        dead = set(crashed)
-        fallback = inputs[names[0]]
-        robust = MultipartyRobustOutcome(
-            intersection=fallback,
-            status="degraded",
-            protocol_name=protocol.name,
-            survivors=tuple(n for n in names if n not in dead),
-            crashed=crashed,
-            attempts=1,
-            total_bits=totals.total_bits,
-            total_rounds=totals.rounds,
-            recovery_bits=0,
-            recovery_rounds=0,
-            degraded_mode="superset",
-            failure_reasons=[reason],
-        )
-        if _OBS.active:
-            _OBS.tracer.emit(
-                "degraded.output", protocol=protocol.name, mode="superset"
-            )
-        synthesized = MultipartyOutcome(
-            outputs={names[0]: fallback},
-            bits_sent=dict(totals.bits_sent),
-            bits_received=dict(totals.bits_received),
-            rounds=totals.rounds,
-            crashed=crashed,
-        )
-        return MultipartyResult(
-            intersection=fallback, outcome=synthesized, robust=robust
-        )
-    return MultipartyResult(intersection=frozenset(final), outcome=outcome)
+    return MultipartyResult(
+        intersection=robust.intersection,
+        outcome=outcome,
+        robust=robust if recover or not robust.exact else None,
+    )
 
 
 class CoordinatorIntersection:

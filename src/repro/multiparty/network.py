@@ -113,8 +113,11 @@ class MultipartyOutcome:
     def max_player_bits(self) -> int:
         """Worst-case per-player communication (sent + received)."""
         return max(
-            self.bits_sent[name] + self.bits_received[name]
-            for name in self.bits_sent
+            (
+                self.bits_sent[name] + self.bits_received[name]
+                for name in self.bits_sent
+            ),
+            default=0,
         )
 
     @property

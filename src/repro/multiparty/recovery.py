@@ -4,27 +4,31 @@ The Section 4 protocols are built from pairwise sub-protocols over a
 *fixed* player list, so one fail-stop crash mid-run kills the whole
 computation: the coordinator blocks forever on the dead member's reply
 (:class:`~repro.comm.errors.ProtocolDeadlock`), or a later phase mails the
-corpse (:class:`~repro.comm.errors.MessageToFinishedPlayer`).  This module
-is the retry/reassignment layer over the BSP round scheduler that turns
-those deaths into recovery:
+corpse (:class:`~repro.comm.errors.MessageToFinishedPlayer`).
+
+:func:`run_with_recovery` turns those deaths into recovery.  It is the
+m-player adapter of the one verify -> confirm -> degrade loop,
+:func:`repro.faults.retry.run_attempts`, which owns the attempt iteration,
+the failure classifier, the suspect-confirmation rule and the
+``recovery.attempt`` events.  The adapter supplies one BSP attempt and
+builds the :class:`MultipartyRobustOutcome`:
 
 * **detection** -- every attempt runs with a caller-visible
   :class:`~repro.multiparty.network.RunningTotals`, so when the scheduler
-  dies (or finishes with casualties) the layer knows exactly who crashed
+  dies (or finishes with casualties) the adapter knows exactly who crashed
   and what the attempt cost;
 * **re-poll / re-parent** -- the next attempt re-runs the protocol over
-  the *survivor* list.  Because both protocols derive their topology from
-  ``ctx.players``, shrinking the list does the reassignment for free: the
-  coordinator re-polls the crashed member's siblings (the group re-forms
-  without it) and the binary tree re-parents a dead subtree onto its
-  nearest live neighbour (the pairing ``(0,1), (2,3), ...`` re-forms over
-  the survivors);
+  the *survivor* roster.  Because both protocols derive their topology
+  from ``ctx.players``, shrinking the list does the reassignment for free:
+  the coordinator re-polls the crashed member's siblings (the group
+  re-forms without it) and the binary tree re-parents a dead subtree onto
+  its nearest live neighbour (the pairing ``(0,1), (2,3), ...`` re-forms
+  over the survivors);
 * **replayable seeds** -- attempt 0 uses the session seed itself (a
   crash-free wrapped run is bit-identical to the unwrapped one) and
   recovery attempt ``i`` uses :func:`repro.perf.executor.derive_seed`
   ``(seed, i)``, so the whole session is a pure function of ``(seed,
-  fault plan)`` -- same plan seed + crash schedule => identical outcome,
-  pinned by ``tests/test_multiparty_recovery.py``;
+  fault plan)`` -- pinned by ``tests/test_multiparty_recovery.py``;
 * **honest charging** -- bits/rounds of *every* attempt (including the
   aborted ones) accumulate into the outcome, with the re-run share split
   out as ``recovery_bits`` / ``recovery_rounds`` and attributed through
@@ -33,7 +37,8 @@ those deaths into recovery:
   returns the m-player generalization of the two-party contract: the
   root-most survivor outputs its own input, which is certifiably a
   superset of the full intersection from within that player's knowledge.
-  Nothing raises on channel damage.
+  Nothing raises on channel damage; a failure no fault caused is a bug
+  and re-raises.
 
 The one-sided invariant this preserves (the property suite's contract):
 the returned set is always a **superset of the true m-way intersection**
@@ -46,16 +51,13 @@ discarded even if it happens to complete (a bystander dying after its
 contribution was merged would otherwise leave the result depending on
 crash timing).  A recovered result is therefore always the survivors'
 intersection -- the differential-oracle tests compare it against a
-crash-free run over the survivors' inputs and require equality.  And as
-in the two-party retry loop, a completed attempt that *corruption* faults
-touched is only a suspect until an independent attempt reproduces it.
+crash-free run over the survivors' inputs and require equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -65,7 +67,7 @@ from typing import (
     Tuple,
 )
 
-from repro.comm.errors import ProtocolError
+from repro.faults.retry import AttemptResult, run_attempts
 from repro.faults.state import STATE as _FAULTS
 from repro.multiparty.network import (
     MultipartyOutcome,
@@ -74,6 +76,7 @@ from repro.multiparty.network import (
 )
 from repro.obs.state import STATE as _OBS
 from repro.perf.executor import derive_seed
+from repro.protocols.base import validate_set
 
 __all__ = [
     "RecoveryPolicy",
@@ -202,30 +205,29 @@ def recovery_fingerprint(outcome: MultipartyRobustOutcome) -> str:
     ).hexdigest()
 
 
-def _classify(exc: Exception) -> str:
-    from repro.comm.errors import (
-        MessageToFinishedPlayer,
-        ProtocolAborted,
-        ProtocolDeadlock,
-        ProtocolViolation,
-    )
-
-    if isinstance(exc, MessageToFinishedPlayer):
-        return "mail-to-dead"
-    if isinstance(exc, ProtocolDeadlock):
-        return "deadlock"
-    if isinstance(exc, ProtocolAborted):
-        return "aborted"
-    if isinstance(exc, ProtocolViolation):
-        return "violation"
-    if isinstance(exc, ProtocolError):
-        return "protocol-error"
-    return "decode-error"
+def player_name(index: int) -> str:
+    """The canonical name of player ``index``."""
+    return f"p{index:05d}"
 
 
-def _emit(event_type: str, **fields: Any) -> None:
-    if _OBS.active:
-        _OBS.tracer.emit(event_type, **fields)
+def player_inputs(
+    protocol, sets: Sequence[Iterable[int]]
+) -> Dict[str, FrozenSet[int]]:
+    """Name the players canonically (:func:`player_name`) and
+    validate every input against the protocol's ``n`` and ``k``.
+
+    Malformed inputs are caller bugs: they raise here, before any attempt
+    runs, instead of surfacing as channel damage inside the loop.
+    """
+    if not sets:
+        raise ValueError("need at least one player")
+    inputs: Dict[str, FrozenSet[int]] = {}
+    for index, player_set in enumerate(sets):
+        name = player_name(index)
+        inputs[name] = validate_set(
+            player_set, name, protocol.universe_size, protocol.max_set_size
+        )
+    return inputs
 
 
 def run_with_recovery(
@@ -252,162 +254,132 @@ def run_with_recovery(
         (``REPRO_FAULTS``), else a reliable network.
     :returns: a :class:`MultipartyRobustOutcome`; never raises on channel
         damage (malformed inputs still raise -- caller bugs, checked
-        before any attempt runs).
+        before any attempt runs -- and so does a failure no fault caused).
     """
     policy = policy if policy is not None else RecoveryPolicy()
-    if not sets:
-        raise ValueError("need at least one player")
-    names = [f"p{index:05d}" for index in range(len(sets))]
-    inputs: Dict[str, FrozenSet[int]] = {
-        name: frozenset(player_set) for name, player_set in zip(names, sets)
-    }
-    for name, player_set in inputs.items():
-        if len(player_set) > protocol.max_set_size:
-            raise ValueError(
-                f"{name} holds {len(player_set)} elements; k="
-                f"{protocol.max_set_size}"
-            )
+    return run_session(protocol, sets, seed, policy.max_attempts, plan)[0]
+
+
+def run_session(
+    protocol,
+    sets: Sequence[Iterable[int]],
+    seed: int,
+    max_attempts: int,
+    plan: Optional[object],
+    *,
+    traced: bool = True,
+) -> Tuple[MultipartyRobustOutcome, RunningTotals]:
+    """The m-player adapter behind :func:`run_with_recovery` and the
+    protocols' ``run(recover=False)`` (one attempt, ``traced=False``: no
+    ``recovery.*`` events, only ``degraded.output`` on degradation).
+
+    :returns: the session outcome and its per-player bits and rounds,
+        summed over every attempt (zero for a player that never ran).
+    """
+    inputs = player_inputs(protocol, sets)
     if plan is None and _FAULTS.active:
         plan = _FAULTS.plan
+    live: List[str] = list(inputs)
+    crashed: List[str] = []
+    casualties = 0  # crashed during the latest attempt
+    session = RunningTotals(
+        bits_sent=dict.fromkeys(inputs, 0),
+        bits_received=dict.fromkeys(inputs, 0),
+    )
+    recovery_bits = recovery_rounds = 0
+    final: Optional[MultipartyOutcome] = None
 
-    live: List[str] = list(names)
-    crashed_all: List[str] = []
-    reasons: List[str] = []
-    total_bits = 0
-    total_rounds = 0
-    recovery_bits = 0
-    recovery_rounds = 0
-    suspect: Optional[FrozenSet[int]] = None
-
-    def _result(
-        intersection: FrozenSet[int],
-        status: str,
-        attempts: int,
-        *,
-        degraded_mode: Optional[str] = None,
-        final_outcome: Optional[MultipartyOutcome] = None,
-    ) -> MultipartyRobustOutcome:
-        _emit(
-            "recovery.outcome",
-            protocol=protocol.name,
-            status=status,
-            attempts=attempts,
-            recovery_bits=recovery_bits,
-            recovery_rounds=recovery_rounds,
-        )
-        if status == "degraded":
-            _emit(
-                "degraded.output", protocol=protocol.name, mode=degraded_mode
-            )
-        return MultipartyRobustOutcome(
-            intersection=intersection,
-            status=status,
-            protocol_name=protocol.name,
-            survivors=tuple(live),
-            crashed=tuple(crashed_all),
-            attempts=attempts,
-            total_bits=total_bits,
-            total_rounds=total_rounds,
-            recovery_bits=recovery_bits,
-            recovery_rounds=recovery_rounds,
-            degraded_mode=degraded_mode,
-            failure_reasons=reasons,
-            final_outcome=final_outcome,
-        )
-
-    def _crash_count() -> int:
-        return plan.counts.get("crash", 0) if plan is not None else 0
-
-    def _injected() -> int:
-        return plan.injected if plan is not None else 0
-
-    for attempt in range(policy.max_attempts):
-        if len(live) == 1:
-            # A lone survivor needs no communication: its candidate is its
-            # own input, trivially the survivors' exact intersection.
-            return _result(
-                inputs[live[0]],
-                "recovered" if crashed_all else "exact",
-                attempt,
-            )
-        faults_before = _injected()
-        crashes_before = _crash_count()
+    def one_attempt(attempt: int) -> AttemptResult:
+        nonlocal live, casualties, final, recovery_bits, recovery_rounds
+        if len(live) < 2:
+            # A lone survivor needs no network (its own input is the
+            # survivors' exact intersection); with none left, nobody can
+            # answer.
+            return None
+        players = list(live)
         totals = RunningTotals()
-        attempt_live = list(live)
-        failure: Optional[str] = None
-        outcome: Optional[MultipartyOutcome] = None
         try:
-            outcome = run_message_passing(
-                {name: protocol._player for name in attempt_live},
-                {name: inputs[name] for name in attempt_live},
+            final = run_message_passing(
+                {name: protocol._player for name in players},
+                {name: inputs[name] for name in players},
                 shared_seed=recovery_attempt_seed(seed, attempt),
                 fault_plan=plan,
                 totals=totals,
             )
-        except (ProtocolError, ValueError) as exc:
-            failure = _classify(exc)
-        total_bits += totals.total_bits
-        total_rounds += totals.rounds
-        if attempt > 0:
-            recovery_bits += totals.total_bits
-            recovery_rounds += totals.rounds
-        newly_crashed = list(totals.crashed)
-        if newly_crashed:
-            crashed_all.extend(newly_crashed)
-            dead = set(newly_crashed)
+        finally:
+            # Charge the attempt and retire its dead, finished or not.
+            for name, bits in totals.bits_sent.items():
+                session.bits_sent[name] += bits
+            for name, bits in totals.bits_received.items():
+                session.bits_received[name] += bits
+            session.rounds += totals.rounds
+            if attempt > 0:
+                recovery_bits += totals.total_bits
+                recovery_rounds += totals.rounds
+            casualties = len(totals.crashed)
+            crashed.extend(totals.crashed)
+            dead = set(totals.crashed)
             live = [name for name in live if name not in dead]
-        if outcome is not None and failure is None:
-            if newly_crashed:
-                # Discard-on-crash rule: even a completed attempt depends
-                # on crash timing (did the corpse contribute before
-                # dying?); re-running over the survivors pins the result
-                # to *their* intersection, independent of timing.
-                failure = "crashed"
-            else:
-                candidate = outcome.outputs[attempt_live[0]]
-                if candidate is None:  # pragma: no cover - defensive
-                    failure = "root-crashed"
-                else:
-                    candidate = frozenset(candidate)
-                    corruption = (
-                        (_injected() - faults_before)
-                        - (_crash_count() - crashes_before)
-                    )
-                    if corruption == 0 or candidate == suspect:
-                        # Clean attempt, or an independent reproduction of
-                        # a suspect candidate (fresh shared randomness, so
-                        # a consistent corruption cannot replicate).
-                        return _result(
-                            candidate,
-                            "recovered" if crashed_all else "exact",
-                            attempt + 1,
-                            final_outcome=outcome,
-                        )
-                    suspect = candidate
-                    failure = "unconfirmed"
-        reasons.append(failure)
-        _emit(
-            "recovery.attempt",
-            protocol=protocol.name,
-            attempt=attempt,
-            reason=failure,
-            crashed=len(newly_crashed),
-            survivors=len(live),
-        )
-        if not live:
-            # Total extinction: no survivor can output anything.  The
-            # session's certified-superset fallback is the canonical first
-            # player's candidate -- its own input, the last set it held
-            # before the fail-stop took its memory.
-            return _result(
-                inputs[names[0]],
-                "degraded",
-                attempt + 1,
-                degraded_mode="no-survivors",
-            )
-    return _result(
-        inputs[live[0]],
-        "degraded",
-        policy.max_attempts,
-        degraded_mode="superset",
+        if casualties:
+            # Discard-on-crash rule: even a completed attempt depends on
+            # crash timing (did the corpse contribute before dying?);
+            # re-running over the survivors pins the result to *their*
+            # intersection, independent of timing.
+            return "crashed"
+        candidate = final.outputs[players[0]]
+        if candidate is None:  # pragma: no cover - defensive
+            return "root-crashed"
+        return frozenset(candidate)
+
+    candidate, attempts, reasons = run_attempts(
+        max_attempts,
+        one_attempt,
+        plan=plan,
+        event="recovery.attempt" if traced else None,
+        protocol=protocol.name,
+        event_fields=lambda: {"crashed": casualties, "survivors": len(live)},
     )
+    degraded_mode: Optional[str] = None
+    if candidate is None and len(live) == 1 and attempts < max_attempts:
+        # The loop stopped early on a lone survivor: its input is the answer.
+        candidate, final = inputs[live[0]], None
+    if candidate is not None:
+        status = "recovered" if crashed else "exact"
+    else:
+        # Degrade to a certified superset: the root-most survivor's own
+        # input, or -- after total extinction -- the canonical first
+        # player's, the last set it held before the fail-stop took its
+        # memory.
+        status = "degraded"
+        degraded_mode = "superset" if live else "no-survivors"
+        candidate = inputs[live[0] if live else player_name(0)]
+        final = None
+    if _OBS.active:
+        if traced:
+            _OBS.tracer.emit(
+                "recovery.outcome",
+                protocol=protocol.name,
+                status=status,
+                attempts=attempts,
+                recovery_bits=recovery_bits,
+                recovery_rounds=recovery_rounds,
+            )
+        if degraded_mode is not None:
+            _OBS.tracer.emit(
+                "degraded.output", protocol=protocol.name, mode=degraded_mode
+            )
+    return MultipartyRobustOutcome(
+        intersection=candidate,
+        status=status,
+        protocol_name=protocol.name,
+        survivors=tuple(live),
+        crashed=tuple(crashed),
+        attempts=attempts,
+        total_bits=session.total_bits,
+        total_rounds=session.rounds,
+        recovery_bits=recovery_bits,
+        recovery_rounds=recovery_rounds,
+        degraded_mode=degraded_mode,
+        failure_reasons=reasons,
+        final_outcome=final,
+    ), session

@@ -34,13 +34,14 @@ results are the same either way, only the wall clock differs.
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import os
 import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+
+from repro.util.rng import derive
 
 __all__ = [
     "derive_seed",
@@ -59,7 +60,7 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 def derive_seed(root_seed: int, trial_index: int) -> int:
     """The seed for trial ``trial_index`` of a run rooted at ``root_seed``.
 
-    SHA-256 of the pair, truncated to 63 bits: collision-free for all
+    :func:`repro.util.rng.derive` of the pair, 63 bits: collision-free for all
     practical purposes (birthday bound ``~ trials^2 / 2^64``), stable
     across processes and Python versions, and independent of how trials
     are chunked across workers.
@@ -69,10 +70,7 @@ def derive_seed(root_seed: int, trial_index: int) -> int:
     >>> derive_seed(0, 1) != derive_seed(1, 0)
     True
     """
-    digest = hashlib.sha256(
-        f"repro.perf.trial:{root_seed}:{trial_index}".encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return derive("repro.perf.trial", root_seed, trial_index)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

@@ -41,6 +41,7 @@ from repro.plans.model import (
     canonical_json,
     instance_to_dict,
 )
+from repro.util.rng import derive
 from repro.workloads import MultipartySpec
 
 __all__ = [
@@ -152,12 +153,7 @@ def _sha256_hex(text: str) -> str:
 
 def cell_seed(plan_seed: int, cell_canonical: Dict[str, Any]) -> int:
     """The 63-bit root seed of one cell's trial-seed lineage."""
-    digest = hashlib.sha256(
-        f"repro.plans.cell:{plan_seed}:{canonical_json(cell_canonical)}".encode(
-            "utf-8"
-        )
-    ).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return derive("repro.plans.cell", plan_seed, canonical_json(cell_canonical))
 
 
 def _shard_key(

@@ -31,12 +31,27 @@ from typing import Iterator
 from repro.util import hotcache
 from repro.util.bits import BitString
 
-__all__ = ["SharedRandomness", "PrivateRandomness"]
+__all__ = ["SharedRandomness", "PrivateRandomness", "derive"]
+
+
+def derive(*parts: object, bits: int = 63) -> int:
+    """The library's one seed derivation: the top ``bits`` bits of SHA-256
+    over ``":".join(map(str, parts))``.
+
+    Every seed lineage goes through here.  Trial seeds
+    (:func:`~repro.perf.executor.derive_seed`), retry attempt seeds and
+    plan cell seeds lead with their own ``"repro.*"`` namespace part; the
+    label-addressed streams below lead with the integer master seed, whose
+    string form never starts with ``"repro."`` -- so no two lineages hash
+    the same string.  Stable across processes, hosts and Python versions.
+    """
+    digest = hashlib.sha256(":".join(map(str, parts)).encode("utf-8")).digest()
+    # Convert only the bytes that hold the top ``bits`` bits (hot path).
+    return int.from_bytes(digest[: (bits + 7) // 8], "big") >> (-bits % 8)
 
 
 def _derive_seed_impl(seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:16], "big")
+    return derive(seed, label, bits=128)
 
 
 _derive_seed_cached = hotcache.register(
