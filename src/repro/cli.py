@@ -1593,10 +1593,7 @@ def _cmd_serve(args, out) -> int:
         else:
             host, port = where
             print(f"serving on {host}:{port} (ctrl-c to stop)", file=out)
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
+        await server.serve_forever()
 
     try:
         asyncio.run(_run_server())

@@ -323,7 +323,58 @@ def _plan_resume_micro(quick: bool) -> Dict[str, Any]:
     }
 
 
-# -- serve-layer micro -----------------------------------------------------
+# -- serve-layer micros ----------------------------------------------------
+
+
+def _best_of_load(mix, modes: Dict[str, Dict[str, Any]], trials: int):
+    """Best-of-N load runs of ``mix``, one per named ``run_load`` keyword set.
+
+    Each trial runs every mode once, in order; the best (least-disturbed)
+    wall of each mode is kept, because a single socket-bound wall on a
+    shared host carries scheduler noise that would swamp any ratio.
+    Returns ``(best report per mode, summed wall of every run,
+    identical)``, where ``identical`` is the serial-oracle check over the
+    best reports: zero shed, no errors, and every aggregate fingerprint
+    equal to :func:`~repro.serve.loadgen.run_mix_serial`'s.
+    """
+    from repro.serve import run_load
+    from repro.serve.loadgen import matches_serial
+
+    best: Dict[str, Any] = {}
+    total_wall = 0.0
+    for _ in range(trials):
+        for name, kwargs in modes.items():
+            report = run_load(mix, tick_s=0.001, pipeline=64, **kwargs)
+            total_wall += report.wall_s
+            if name not in best or report.wall_s < best[name].wall_s:
+                best[name] = report
+    return best, total_wall, matches_serial(mix, *best.values())
+
+
+def _coalesce_micro(mix, quick: bool) -> Dict[str, Any]:
+    """Coalescing off vs on over ``mix``: the fields the one-round and
+    multi-round throughput micros share."""
+    trials = 2 if quick else 3
+    best, total_wall, identical = _best_of_load(
+        mix, {"scalar": {"coalesce": False}, "coalesced": {}}, trials
+    )
+    scalar, coalesced = best["scalar"], best["coalesced"]
+    coalesced_wall = max(coalesced.wall_s, 1e-9)
+    lanes = coalesced.lanes_per_batch
+    return {
+        "ops_per_s": coalesced.ops_total / coalesced_wall,
+        "wall_s": total_wall,
+        "iterations": 2 * trials,
+        "sessions_per_s": mix.sessions / coalesced_wall,
+        "p50_ms": coalesced.p50_ms,
+        "p99_ms": coalesced.p99_ms,
+        "scalar_wall_s": scalar.wall_s,
+        "coalesced_wall_s": coalesced.wall_s,
+        "coalesce_speedup": scalar.wall_s / coalesced_wall,
+        "lanes_per_batch": lanes if lanes is not None else 0.0,
+        "batch_identical": identical,
+        "shed": scalar.shed + coalesced.shed,
+    }
 
 
 def _serve_throughput_micro(quick: bool) -> Dict[str, Any]:
@@ -334,64 +385,25 @@ def _serve_throughput_micro(quick: bool) -> Dict[str, Any]:
     operation takes the scalar engine path) and on (one-round hash sweeps
     batched across sessions into single kernel calls) -- and
     ``coalesce_speedup`` is the best-of-N scalar wall over the best-of-N
-    coalesced wall.  Best-of-N per mode because a single socket-bound
-    wall on a shared host carries scheduler noise that would swamp the
-    ratio; the best wall is the least-disturbed run of each mode.
+    coalesced wall (see :func:`_best_of_load`).
 
     ``batch_identical`` compares three aggregate fingerprints -- serial
     reference, scalar server, coalesced server -- and is the contract
     that makes the speedup claim meaningful: the batch path must be
     bit-identical to the path it replaces.
     """
-    from repro.serve import LoadMix, run_load, run_mix_serial
+    from repro.serve import LoadMix
 
-    mix = LoadMix(
-        name="bench",
-        seed=11,
-        sessions=24 if quick else 64,
-        ops_per_session=8 if quick else 16,
-        set_sizes=(64,),
+    return _coalesce_micro(
+        LoadMix(
+            name="bench",
+            seed=11,
+            sessions=24 if quick else 64,
+            ops_per_session=8 if quick else 16,
+            set_sizes=(64,),
+        ),
+        quick,
     )
-    trials = 2 if quick else 3
-    run = functools.partial(run_load, mix, tick_s=0.001, pipeline=64)
-
-    scalar_walls, coalesced_walls = [], []
-    scalar_best = coalesced_best = None
-    for _ in range(trials):
-        scalar = run(coalesce=False)
-        scalar_walls.append(scalar.wall_s)
-        if scalar_best is None or scalar.wall_s < scalar_best.wall_s:
-            scalar_best = scalar
-        coalesced = run(coalesce=True)
-        coalesced_walls.append(coalesced.wall_s)
-        if coalesced_best is None or coalesced.wall_s < coalesced_best.wall_s:
-            coalesced_best = coalesced
-
-    serial_fingerprint = run_mix_serial(mix)["fingerprint"]
-    batch_identical = (
-        scalar_best.shed == coalesced_best.shed == 0
-        and not scalar_best.errors
-        and not coalesced_best.errors
-        and serial_fingerprint
-        == scalar_best.fingerprint
-        == coalesced_best.fingerprint
-    )
-    coalesced_wall = max(coalesced_best.wall_s, 1e-9)
-    lanes = coalesced_best.lanes_per_batch
-    return {
-        "ops_per_s": coalesced_best.ops_total / coalesced_wall,
-        "wall_s": sum(scalar_walls) + sum(coalesced_walls),
-        "iterations": 2 * trials,
-        "sessions_per_s": mix.sessions / coalesced_wall,
-        "p50_ms": coalesced_best.p50_ms,
-        "p99_ms": coalesced_best.p99_ms,
-        "scalar_wall_s": scalar_best.wall_s,
-        "coalesced_wall_s": coalesced_best.wall_s,
-        "coalesce_speedup": scalar_best.wall_s / coalesced_wall,
-        "lanes_per_batch": lanes if lanes is not None else 0.0,
-        "batch_identical": batch_identical,
-        "shed": scalar_best.shed + coalesced_best.shed,
-    }
 
 
 def _serve_throughput_multiround_micro(quick: bool) -> Dict[str, Any]:
@@ -412,7 +424,7 @@ def _serve_throughput_multiround_micro(quick: bool) -> Dict[str, Any]:
     number honest and pinned, and to extend the ``batch_identical``
     contract (serial == scalar == coalesced) to the multi-round ops.
     """
-    from repro.serve import LoadMix, run_load, run_mix_serial
+    from repro.serve import LoadMix
 
     mix = LoadMix(
         name="bench-multiround",
@@ -422,47 +434,7 @@ def _serve_throughput_multiround_micro(quick: bool) -> Dict[str, Any]:
         set_sizes=(64,),
         rounds=2,
     )
-    trials = 2 if quick else 3
-    run = functools.partial(run_load, mix, tick_s=0.001, pipeline=64)
-
-    scalar_walls, coalesced_walls = [], []
-    scalar_best = coalesced_best = None
-    for _ in range(trials):
-        scalar = run(coalesce=False)
-        scalar_walls.append(scalar.wall_s)
-        if scalar_best is None or scalar.wall_s < scalar_best.wall_s:
-            scalar_best = scalar
-        coalesced = run(coalesce=True)
-        coalesced_walls.append(coalesced.wall_s)
-        if coalesced_best is None or coalesced.wall_s < coalesced_best.wall_s:
-            coalesced_best = coalesced
-
-    serial_fingerprint = run_mix_serial(mix)["fingerprint"]
-    batch_identical = (
-        scalar_best.shed == coalesced_best.shed == 0
-        and not scalar_best.errors
-        and not coalesced_best.errors
-        and serial_fingerprint
-        == scalar_best.fingerprint
-        == coalesced_best.fingerprint
-    )
-    coalesced_wall = max(coalesced_best.wall_s, 1e-9)
-    lanes = coalesced_best.lanes_per_batch
-    return {
-        "ops_per_s": coalesced_best.ops_total / coalesced_wall,
-        "wall_s": sum(scalar_walls) + sum(coalesced_walls),
-        "iterations": 2 * trials,
-        "rounds": 2,
-        "sessions_per_s": mix.sessions / coalesced_wall,
-        "p50_ms": coalesced_best.p50_ms,
-        "p99_ms": coalesced_best.p99_ms,
-        "scalar_wall_s": scalar_best.wall_s,
-        "coalesced_wall_s": coalesced_best.wall_s,
-        "coalesce_speedup": scalar_best.wall_s / coalesced_wall,
-        "lanes_per_batch": lanes if lanes is not None else 0.0,
-        "batch_identical": batch_identical,
-        "shed": scalar_best.shed + coalesced_best.shed,
-    }
+    return dict(_coalesce_micro(mix, quick), rounds=2)
 
 
 def _serve_socket_throughput_micro(quick: bool) -> Dict[str, Any]:
@@ -484,7 +456,7 @@ def _serve_socket_throughput_micro(quick: bool) -> Dict[str, Any]:
     run must agree on the aggregate fingerprint with zero shed and zero
     errors -- the load-bearing claim of the fleet mode.
     """
-    from repro.serve import LoadMix, run_load, run_mix_serial
+    from repro.serve import LoadMix
 
     mix = LoadMix(
         name="bench-socket",
@@ -494,44 +466,25 @@ def _serve_socket_throughput_micro(quick: bool) -> Dict[str, Any]:
         set_sizes=(64,),
     )
     trials = 2 if quick else 3
-    run = functools.partial(run_load, mix, tick_s=0.001, pipeline=64)
-
-    inproc_best = socket_best = None
-    total_wall = 0.0
-    for _ in range(trials):
-        inproc = run()
-        total_wall += inproc.wall_s
-        if inproc_best is None or inproc.wall_s < inproc_best.wall_s:
-            inproc_best = inproc
-        socket = run(transport="uds", fleet=2)
-        total_wall += socket.wall_s
-        if socket_best is None or socket.wall_s < socket_best.wall_s:
-            socket_best = socket
-
-    serial_fingerprint = run_mix_serial(mix)["fingerprint"]
-    batch_identical = (
-        inproc_best.shed == socket_best.shed == 0
-        and not inproc_best.errors
-        and not socket_best.errors
-        and serial_fingerprint
-        == inproc_best.fingerprint
-        == socket_best.fingerprint
+    best, total_wall, identical = _best_of_load(
+        mix, {"inproc": {}, "socket": {"transport": "uds", "fleet": 2}}, trials
     )
-    socket_wall = max(socket_best.wall_s, 1e-9)
+    inproc, socket = best["inproc"], best["socket"]
+    socket_wall = max(socket.wall_s, 1e-9)
     return {
-        "ops_per_s": socket_best.ops_total / socket_wall,
+        "ops_per_s": socket.ops_total / socket_wall,
         "wall_s": total_wall,
         "iterations": 2 * trials,
-        "transport": socket_best.transport,
-        "fleet": socket_best.fleet,
+        "transport": socket.transport,
+        "fleet": socket.fleet,
         "sessions_per_s": mix.sessions / socket_wall,
-        "p50_ms": socket_best.p50_ms,
-        "p99_ms": socket_best.p99_ms,
-        "inproc_wall_s": inproc_best.wall_s,
-        "socket_wall_s": socket_best.wall_s,
-        "socket_vs_inproc": socket_best.wall_s / max(inproc_best.wall_s, 1e-9),
-        "batch_identical": batch_identical,
-        "shed": inproc_best.shed + socket_best.shed,
+        "p50_ms": socket.p50_ms,
+        "p99_ms": socket.p99_ms,
+        "inproc_wall_s": inproc.wall_s,
+        "socket_wall_s": socket.wall_s,
+        "socket_vs_inproc": socket.wall_s / max(inproc.wall_s, 1e-9),
+        "batch_identical": identical,
+        "shed": inproc.shed + socket.shed,
     }
 
 
@@ -560,7 +513,7 @@ def _serve_cold_cache_micro(quick: bool) -> Dict[str, Any]:
     warm, cold, and serial-reference fingerprints must be bit-identical
     (cold changes wall time, never bits).
     """
-    from repro.serve import LoadMix, run_load, run_mix_serial
+    from repro.serve import LoadMix
 
     mix = LoadMix(
         name="bench-cold",
@@ -571,54 +524,32 @@ def _serve_cold_cache_micro(quick: bool) -> Dict[str, Any]:
         rounds=2,
     )
     trials = 2 if quick else 3
-    run = functools.partial(run_load, mix, tick_s=0.001, pipeline=64)
-
-    warm_best = cold_best = cold_scalar_best = None
-    total_wall = 0.0
-    for _ in range(trials):
-        warm = run()
-        total_wall += warm.wall_s
-        if warm_best is None or warm.wall_s < warm_best.wall_s:
-            warm_best = warm
-        cold = run(profile="cold")
-        total_wall += cold.wall_s
-        if cold_best is None or cold.wall_s < cold_best.wall_s:
-            cold_best = cold
-        cold_scalar = run(profile="cold", coalesce=False)
-        total_wall += cold_scalar.wall_s
-        if (
-            cold_scalar_best is None
-            or cold_scalar.wall_s < cold_scalar_best.wall_s
-        ):
-            cold_scalar_best = cold_scalar
-
-    serial_fingerprint = run_mix_serial(mix)["fingerprint"]
-    profile_identical = (
-        warm_best.shed == cold_best.shed == cold_scalar_best.shed == 0
-        and not warm_best.errors
-        and not cold_best.errors
-        and not cold_scalar_best.errors
-        and serial_fingerprint
-        == warm_best.fingerprint
-        == cold_best.fingerprint
-        == cold_scalar_best.fingerprint
+    best, total_wall, identical = _best_of_load(
+        mix,
+        {
+            "warm": {},
+            "cold": {"profile": "cold"},
+            "cold_scalar": {"profile": "cold", "coalesce": False},
+        },
+        trials,
     )
-    cold_wall = max(cold_best.wall_s, 1e-9)
+    warm, cold, cold_scalar = best["warm"], best["cold"], best["cold_scalar"]
+    cold_wall = max(cold.wall_s, 1e-9)
     return {
-        "ops_per_s": cold_best.ops_total / cold_wall,
+        "ops_per_s": cold.ops_total / cold_wall,
         "wall_s": total_wall,
         "iterations": 3 * trials,
         "rounds": 2,
         "sessions_per_s": mix.sessions / cold_wall,
-        "p50_ms": cold_best.p50_ms,
-        "p99_ms": cold_best.p99_ms,
-        "warm_wall_s": warm_best.wall_s,
-        "cold_wall_s": cold_best.wall_s,
-        "cold_scalar_wall_s": cold_scalar_best.wall_s,
-        "cold_penalty": cold_best.wall_s / max(warm_best.wall_s, 1e-9),
-        "cold_coalesce_speedup": cold_scalar_best.wall_s / cold_wall,
-        "profile_identical": profile_identical,
-        "shed": warm_best.shed + cold_best.shed + cold_scalar_best.shed,
+        "p50_ms": cold.p50_ms,
+        "p99_ms": cold.p99_ms,
+        "warm_wall_s": warm.wall_s,
+        "cold_wall_s": cold.wall_s,
+        "cold_scalar_wall_s": cold_scalar.wall_s,
+        "cold_penalty": cold.wall_s / max(warm.wall_s, 1e-9),
+        "cold_coalesce_speedup": cold_scalar.wall_s / cold_wall,
+        "profile_identical": identical,
+        "shed": warm.shed + cold.shed + cold_scalar.shed,
     }
 
 

@@ -12,21 +12,30 @@ server (coalesced or not), or through :func:`run_mix_serial`, the
 in-process serial reference runner the determinism gate compares
 fingerprints against.
 
-:func:`run_load` boots an in-process server, replays the mix over real
-socket connections, and reports the capacity numbers: p50/p99/p999
-latency, sessions/sec and ops/sec, shed count, and coalesced-lane
-occupancy.  Request frames are pre-encoded *before* the measured window
-so the numbers measure the server, not the client's JSON encoder.
+:func:`run_load` is the one entry point for load runs.  It boots a server in the
+calling process, replays the mix over real socket connections, and
+reports the capacity numbers: p50/p99/p999 latency, sessions/sec and
+ops/sec, shed count, and coalesced-lane occupancy.  Every transport runs
+the same client routine (:func:`_drive_clients`): ``inproc`` runs it as
+one task on the server's own event loop, ``tcp``/``uds`` run it in
+spawned worker processes (:mod:`repro.serve.fleet`, which only spawns
+and collects).  The routine pre-encodes every frame and opens every
+session *before* the measured window, so the numbers measure the
+server, not the client's JSON encoder; one report builder merges its
+results, and argument checks, the cold profile and the serial-oracle
+check each live once, in :func:`run_load`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 import random
+import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.perf.executor import derive_seed
 from repro.util import hotcache
@@ -46,6 +55,7 @@ __all__ = [
     "generate_schedule",
     "run_mix_serial",
     "run_load",
+    "matches_serial",
     "latency_histogram",
 ]
 
@@ -380,23 +390,6 @@ def latency_histogram(latencies_ms: Sequence[float]) -> Dict[str, Any]:
     }
 
 
-async def _client_open(
-    host: str,
-    port: int,
-    open_frames: List[bytes],
-) -> Tuple[FrameReader, asyncio.StreamWriter]:
-    reader, writer = await asyncio.open_connection(host, port)
-    frames = FrameReader(reader)
-    for frame in open_frames:
-        writer.write(frame)
-    await writer.drain()
-    for _ in open_frames:
-        reply = await frames.next()
-        if reply is None or not reply.get("ok"):
-            raise RuntimeError(f"session open failed: {reply!r}")
-    return frames, writer
-
-
 async def _client_run(
     frames: FrameReader,
     writer: asyncio.StreamWriter,
@@ -494,128 +487,183 @@ async def _client_run(
             pass
 
 
-def _partition_sessions(mix: LoadMix, connections: int) -> List[List[int]]:
-    connections = max(1, min(connections, mix.sessions))
-    groups: List[List[int]] = [[] for _ in range(connections)]
-    for i in range(mix.sessions):
-        groups[i % connections].append(i)
-    return groups
+def _round_robin(items: Sequence[int], parts: int) -> List[List[int]]:
+    """Deal ``items`` into ``parts`` groups (at least 1, at most one per
+    item), round-robin -- the rule for both workers and connections."""
+    parts = max(1, min(parts, len(items)))
+    return [list(items[start::parts]) for start in range(parts)]
 
 
-async def _run_load_async(
+def _encode_frames(
+    mix: LoadMix, session_indices: Sequence[int], connections: int
+) -> Tuple[List[List[bytes]], List[List[Tuple[int, bytes]]]]:
+    """Pre-encode the open and operation frames of some sessions, per
+    connection.
+
+    The full deterministic schedule is regenerated and only these
+    sessions' operations kept, in global schedule order (which is
+    per-session ``op_index`` order -- the order every executor must
+    preserve).  Request ids are global schedule indices, so they stay
+    unique however the sessions are split across clients.
+    """
+    groups = _round_robin(session_indices, connections)
+    group_of = {i: g for g, group in enumerate(groups) for i in group}
+    open_frames = [
+        [
+            encode_frame(
+                {
+                    "op": "open",
+                    "session": mix.session_key(i),
+                    "universe": mix.universe_size,
+                    "k": mix.session_set_size(i),
+                    "rounds": mix.rounds,
+                    "seed": mix.session_seed(i),
+                    "faults": mix.faults,
+                }
+            )
+            for i in group
+        ]
+        for group in groups
+    ]
+    op_frames: List[List[Tuple[int, bytes]]] = [[] for _ in groups]
+    for request_id, op in enumerate(generate_schedule(mix)):
+        g = group_of.get(op.session_index)
+        if g is None:
+            continue
+        op_frames[g].append(
+            (
+                request_id,
+                encode_frame(
+                    {
+                        "op": op.kind,
+                        "id": request_id,
+                        "session": mix.session_key(op.session_index),
+                        "alice": list(op.alice),
+                        "bob": list(op.bob),
+                    }
+                ),
+            )
+        )
+    return open_frames, op_frames
+
+
+async def _drive_clients(
+    mix: LoadMix,
+    endpoint: Tuple[str, Any],
+    session_indices: Sequence[int],
+    connections: int,
+    pipeline: int,
+    rendezvous: Optional[Callable[[], Any]] = None,
+) -> Dict[str, Any]:
+    """The one client routine: replay some sessions' share of ``mix``.
+
+    Frames are pre-encoded and every session opened before the measured
+    window, so the numbers measure the server, not the client's JSON
+    encoder or connect.  ``endpoint`` is the server's transport-tagged
+    :attr:`~repro.serve.server.IntersectionServer.endpoint`.  A fleet
+    worker passes its start barrier's ``wait`` as ``rendezvous`` (run in
+    a thread, between the open phase and the clock start); in-process
+    clients have none.
+    """
+    kind, address = endpoint
+    open_frames, op_frames = _encode_frames(mix, session_indices, connections)
+
+    async def open_sessions(
+        frames_bytes: List[bytes],
+    ) -> Tuple[FrameReader, asyncio.StreamWriter]:
+        if kind == "uds":
+            reader, writer = await asyncio.open_unix_connection(address)
+        else:
+            reader, writer = await asyncio.open_connection(*address)
+        frames = FrameReader(reader)
+        for frame in frames_bytes:
+            writer.write(frame)
+        await writer.drain()
+        for _ in frames_bytes:
+            reply = await frames.next()
+            if reply is None or not reply.get("ok"):
+                raise RuntimeError(f"session open failed: {reply!r}")
+        return frames, writer
+
+    # Phase 1 (unmeasured): connect and open every session.
+    streams = await asyncio.gather(*(open_sessions(g) for g in open_frames))
+    if rendezvous is not None:
+        await asyncio.get_running_loop().run_in_executor(None, rendezvous)
+
+    # Phase 2 (measured): replay the schedule.
+    latencies_s: List[float] = []
+    shed_latencies_s: List[float] = []
+    counters: Dict[str, Any] = {"ok": 0, "shed": 0, "degraded": 0, "errors": []}
+    started = time.perf_counter()
+    await asyncio.gather(
+        *(
+            _client_run(
+                frames,
+                writer,
+                op_frames[g],
+                pipeline,
+                latencies_s,
+                counters,
+                shed_latencies_s,
+            )
+            for g, (frames, writer) in enumerate(streams)
+        )
+    )
+    return {
+        "ops": sum(len(group) for group in op_frames),
+        "connections": len(streams),
+        "wall_s": time.perf_counter() - started,
+        "latencies_s": latencies_s,
+        "shed_latencies_s": shed_latencies_s,
+        "counters": counters,
+    }
+
+
+def _load_report(
     mix: LoadMix,
     *,
     coalesce: bool,
-    tick_s: float,
-    connections: int,
-    pipeline: int,
-    max_pending_global: int,
-    max_pending_per_session: int,
-    check_serial: bool,
+    transport: str,
+    results: List[Dict[str, Any]],
+    wall_s: float,
+    info: Dict[str, Any],
 ) -> LoadReport:
-    server = IntersectionServer(
-        ServeConfig(
-            coalesce=coalesce,
-            tick_s=tick_s,
-            max_pending_global=max_pending_global,
-            max_pending_per_session=max_pending_per_session,
-        )
+    """Merge client results (one per fleet worker, or the in-process
+    clients' one) and the server's counters into one report."""
+    latencies_ms = sorted(
+        v * 1e3 for result in results for v in result["latencies_s"]
     )
-    await server.start()
-    host, port = server.address
-    try:
-        schedule = generate_schedule(mix)
-
-        # Pre-encode every frame before the measured window: the numbers
-        # should measure the server, not the client's JSON encoder.
-        groups = _partition_sessions(mix, connections)
-        session_to_group = {}
-        open_frames: List[List[bytes]] = []
-        op_frames: List[List[Tuple[int, bytes]]] = []
-        for group_index, group in enumerate(groups):
-            frames = []
-            for i in group:
-                session_to_group[i] = group_index
-                frames.append(
-                    encode_frame(
-                        {
-                            "op": "open",
-                            "session": mix.session_key(i),
-                            "universe": mix.universe_size,
-                            "k": mix.session_set_size(i),
-                            "rounds": mix.rounds,
-                            "seed": mix.session_seed(i),
-                            "faults": mix.faults,
-                        }
-                    )
-                )
-            open_frames.append(frames)
-            op_frames.append([])
-        for request_id, op in enumerate(schedule):
-            group_index = session_to_group[op.session_index]
-            op_frames[group_index].append(
-                (
-                    request_id,
-                    encode_frame(
-                        {
-                            "op": op.kind,
-                            "id": request_id,
-                            "session": mix.session_key(op.session_index),
-                            "alice": list(op.alice),
-                            "bob": list(op.bob),
-                        }
-                    ),
-                )
+    shed_latencies_ms = sorted(
+        v * 1e3 for result in results for v in result["shed_latencies_s"]
+    )
+    workers = []
+    if transport != "inproc":
+        for index, result in enumerate(results):
+            counters = result["counters"]
+            worker_latencies = sorted(v * 1e3 for v in result["latencies_s"])
+            workers.append(
+                {
+                    "worker": index,
+                    "ops": result["ops"],
+                    "connections": result["connections"],
+                    "ok": counters["ok"],
+                    "shed": counters["shed"],
+                    "wall_s": result["wall_s"],
+                    "p50_ms": _percentile(worker_latencies, 0.50),
+                    "p99_ms": _percentile(worker_latencies, 0.99),
+                }
             )
-
-        # Phase 1 (unmeasured): connect and open every session.
-        streams = await asyncio.gather(
-            *(
-                _client_open(host, port, open_frames[g])
-                for g in range(len(groups))
-            )
-        )
-
-        # Phase 2 (measured): replay the schedule.
-        latencies_s: List[float] = []
-        shed_latencies_s: List[float] = []
-        counters: Dict[str, Any] = {
-            "ok": 0, "shed": 0, "degraded": 0, "errors": []
-        }
-        started = time.perf_counter()
-        await asyncio.gather(
-            *(
-                _client_run(
-                    frames,
-                    writer,
-                    op_frames[g],
-                    pipeline,
-                    latencies_s,
-                    counters,
-                    shed_latencies_s,
-                )
-                for g, (frames, writer) in enumerate(streams)
-            )
-        )
-        wall_s = time.perf_counter() - started
-
-        info = server.info_payload()
-    finally:
-        await server.stop()
-
-    latencies_ms = sorted(value * 1e3 for value in latencies_s)
-    shed_latencies_ms = sorted(value * 1e3 for value in shed_latencies_s)
-    ops_total = len(schedule)
+    ops_total = mix.sessions * mix.ops_per_session
     coalescer = info["coalescer"]
-    report = LoadReport(
+    return LoadReport(
         mix_name=mix.name,
         coalesce=coalesce,
         sessions=mix.sessions,
         ops_total=ops_total,
-        ops_ok=counters["ok"],
-        shed=counters["shed"],
-        degraded=counters["degraded"],
-        errors=counters["errors"],
+        ops_ok=sum(result["counters"]["ok"] for result in results),
+        shed=sum(result["counters"]["shed"] for result in results),
+        degraded=sum(result["counters"]["degraded"] for result in results),
+        errors=[e for result in results for e in result["counters"]["errors"]],
         wall_s=wall_s,
         sessions_per_sec=mix.sessions / wall_s if wall_s > 0 else 0.0,
         ops_per_sec=ops_total / wall_s if wall_s > 0 else 0.0,
@@ -629,24 +677,64 @@ async def _run_load_async(
         lanes_per_batch=coalescer["lanes_per_batch"],
         batches=coalescer["batches"],
         fingerprint=info["fingerprint"],
+        transport=transport,
+        fleet=len(workers),
+        workers=workers,
         latencies_ms=latencies_ms,
         shed_latencies_ms=shed_latencies_ms,
     )
-    if check_serial:
-        reference = run_mix_serial(mix)
-        report.serial_match = (
-            report.shed == 0
-            and not report.errors
-            and reference["fingerprint"] == report.fingerprint
-        )
-    return report
 
 
-#: Client transports ``run_load`` understands.  ``inproc`` is the
-#: same-process asyncio harness (clients and server share one event loop
-#: over loopback TCP); ``tcp`` and ``uds`` hand off to the multi-process
-#: fleet driver in :mod:`repro.serve.fleet`, where worker processes pay
-#: the real syscall/serialization/RTT costs.
+async def _serve_and_drive(
+    mix: LoadMix,
+    config: ServeConfig,
+    *,
+    transport: str,
+    fleet: int,
+    connections: int,
+    pipeline: int,
+) -> LoadReport:
+    server = IntersectionServer(config)
+    await server.start()
+    try:
+        if transport == "inproc":
+            result = await _drive_clients(
+                mix, server.endpoint, range(mix.sessions), connections, pipeline
+            )
+            results, wall_s = [result], result["wall_s"]
+        else:
+            from repro.serve.fleet import run_workers
+
+            results, wall_s = await run_workers(
+                mix, server.endpoint, fleet, connections, pipeline
+            )
+        info = server.info_payload()
+    finally:
+        await server.stop()
+    return _load_report(
+        mix,
+        coalesce=config.coalesce,
+        transport=transport,
+        results=results,
+        wall_s=wall_s,
+        info=info,
+    )
+
+
+def matches_serial(mix: LoadMix, *reports: LoadReport) -> bool:
+    """The serial-oracle check: every report answered every operation
+    (zero shed, zero errors) and carries the fingerprint
+    :func:`run_mix_serial` computes for ``mix``."""
+    if any(report.shed or report.errors for report in reports):
+        return False
+    fingerprint = run_mix_serial(mix)["fingerprint"]
+    return all(report.fingerprint == fingerprint for report in reports)
+
+#: Client transports ``run_load`` understands.  ``inproc`` runs the
+#: client routine on the server's own event loop (loopback TCP); ``tcp``
+#: and ``uds`` run it in worker processes spawned by
+#: :mod:`repro.serve.fleet`, which pay the real syscall/serialization/RTT
+#: costs.
 TRANSPORTS = ("inproc", "tcp", "uds")
 
 #: Serving cache profiles.  ``warm`` leaves the hot-path caches on (the
@@ -674,19 +762,26 @@ def run_load(
     profile: str = "warm",
     uds_path: Optional[str] = None,
 ) -> LoadReport:
-    """Boot an in-process server and replay ``mix`` against it.
+    """Boot a server in this process and replay ``mix`` against it.
 
-    With the default ``transport="inproc"`` the clients share the server's
-    event loop (loopback TCP, zero process boundaries); ``"tcp"`` and
-    ``"uds"`` dispatch to :func:`repro.serve.fleet.run_fleet`, which
-    spawns ``fleet`` worker processes that replay the same schedule over
-    real sockets.  ``profile="cold"`` disables the server's hot-path
+    Every transport runs the same client routine.  With the default
+    ``transport="inproc"`` it runs as one task on the server's own event
+    loop (loopback TCP, zero process boundaries); ``"tcp"`` and ``"uds"``
+    run it in ``fleet`` spawned worker processes
+    (:mod:`repro.serve.fleet`) over a real socket, each owning a
+    round-robin share of the sessions, with ``connections`` per worker.
+    ``uds_path`` places the Unix-domain socket (default: a temporary
+    directory).  ``profile="cold"`` disables the server's hot-path
     caches for the whole run (wall time changes, bits never do).
 
     With ``check_serial`` the same mix is replayed through
     :func:`run_mix_serial` and the aggregate fingerprints compared; a
-    mismatch (or any shed under the generous default bounds) sets
-    ``serial_match`` False.
+    mismatch (or any shed or error) sets ``serial_match`` False.
+
+    :raises ValueError: on an unknown transport or profile, or a fleet
+        of fewer than one worker, before any server or process starts.
+    :raises repro.serve.fleet.FleetError: if a worker process fails or
+        times out.
     """
     if transport not in TRANSPORTS:
         raise ValueError(
@@ -696,37 +791,33 @@ def run_load(
         raise ValueError(
             f"unknown profile {profile!r} (know: {', '.join(PROFILES)})"
         )
-    if transport != "inproc":
-        from repro.serve.fleet import run_fleet
-
-        return run_fleet(
-            mix,
-            transport=transport,
-            fleet=fleet,
-            coalesce=coalesce,
-            tick_s=tick_s,
-            connections=connections,
-            pipeline=pipeline,
-            max_pending_global=max_pending_global,
-            max_pending_per_session=max_pending_per_session,
-            check_serial=check_serial,
-            profile=profile,
-            uds_path=uds_path,
-        )
+    if transport != "inproc" and fleet < 1:
+        raise ValueError(f"fleet must be at least 1 worker, got {fleet}")
 
     with contextlib.ExitStack() as stack:
         if profile == "cold":
             stack.enter_context(hotcache.disabled())
+        if transport == "uds" and uds_path is None:
+            tmp = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-serve-")
+            )
+            uds_path = os.path.join(tmp, "serve.sock")
+        config = ServeConfig(
+            transport="uds" if transport == "uds" else "tcp",
+            uds_path=uds_path,
+            coalesce=coalesce,
+            tick_s=tick_s,
+            max_pending_global=max_pending_global,
+            max_pending_per_session=max_pending_per_session,
+        )
         report = asyncio.run(
-            _run_load_async(
+            _serve_and_drive(
                 mix,
-                coalesce=coalesce,
-                tick_s=tick_s,
+                config,
+                transport=transport,
+                fleet=fleet,
                 connections=connections,
                 pipeline=pipeline,
-                max_pending_global=max_pending_global,
-                max_pending_per_session=max_pending_per_session,
-                check_serial=False,
             )
         )
     report.profile = profile
@@ -734,10 +825,5 @@ def run_load(
         # The serial oracle runs outside the cold block on purpose: the
         # caches are value-transparent, so warm-oracle == cold-server is
         # exactly the claim the gate certifies.
-        reference = run_mix_serial(mix)
-        report.serial_match = (
-            report.shed == 0
-            and not report.errors
-            and reference["fingerprint"] == report.fingerprint
-        )
+        report.serial_match = matches_serial(mix, report)
     return report

@@ -89,6 +89,24 @@ class ServeConfig:
             raise ValueError("the 'uds' transport requires uds_path")
 
 
+#: How long :meth:`IntersectionServer.stop` waits, twice over: first for
+#: live clients to close their connections, then for the replies of a
+#: connection it stopped reading to be flushed.
+STOP_GRACE_S = 0.5
+
+
+class _StopReading(Exception):
+    """Set on a connection's stream when ``stop()`` ends its reading."""
+
+
+async def _wait(tasks, timeout: Optional[float]) -> Set["asyncio.Task"]:
+    """Wait up to ``timeout`` for ``tasks``; return the ones still running."""
+    if not tasks:
+        return set()
+    _, running = await asyncio.wait(list(tasks), timeout=timeout)
+    return running
+
+
 def _require_list(value: Any, name: str) -> list:
     # Shape check only: element types are enforced by the execution path's
     # validate_set_pair (surfacing as typed ``invalid-input`` replies), so
@@ -123,6 +141,10 @@ class IntersectionServer:
         self.shed_total = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._closing = False
+        #: Live connection handlers, each with its connection's streams.
+        self._connections: Dict[
+            "asyncio.Task", Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -168,9 +190,28 @@ class IntersectionServer:
         return "tcp", self.address
 
     async def stop(self) -> None:
+        """Stop listening, finish every connection, then the coalescer.
+
+        A live connection is read on -- every request answered, new
+        operations with ``shutting-down`` -- until its client closes, for
+        at most :data:`STOP_GRACE_S`; a client that closes in time has
+        every request answered and its socket never closed on unread
+        data.  Then reading stops: the handler answers the operations it
+        admitted, flushes and closes.  A connection whose client does not
+        read its replies is aborted after a further :data:`STOP_GRACE_S`.
+        ``stop`` returns only after every handler has.
+        """
         self._closing = True
         if self._server is not None:
             self._server.close()
+        running = await _wait(self._connections, STOP_GRACE_S)
+        for task in running:
+            self._connections[task][0].set_exception(_StopReading())
+        running = await _wait(running, STOP_GRACE_S)
+        for task in running:
+            self._connections[task][1].transport.abort()
+        await _wait(running, None)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         await self.coalescer.stop()
@@ -179,11 +220,16 @@ class IntersectionServer:
                 os.unlink(self.config.uds_path)
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then :meth:`stop`."""
         if self._server is None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            # Not ``Server.serve_forever``: cancelled, it waits for every
+            # connection to close (Python 3.12+), and only stop() closes
+            # them.
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.stop()
 
     def info_payload(self) -> Dict[str, Any]:
         """Server-wide counters (the ``info`` reply body)."""
@@ -201,6 +247,10 @@ class IntersectionServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = (reader, writer)
+        task.add_done_callback(self._connections.pop)
         frames = FrameReader(reader, max_bytes=self.config.max_frame_bytes)
         # All replies -- control and operation -- are encoded once and go
         # through one queue drained by one writer task, so a burst of
@@ -229,9 +279,14 @@ class IntersectionServer:
                 if wrote:
                     try:
                         await writer.drain()
-                    except (ConnectionError, OSError):
-                        # The client went away; operations already admitted
-                        # still execute and bill -- only replies are lost.
+                    except (_StopReading, ConnectionError, OSError):
+                        # Once stop() ends the reading, drain() raises that
+                        # at once and close() flushes what is buffered.
+                        pass
+                    if writer.transport.is_closing():
+                        # The client went away, or stop() aborted the
+                        # connection; operations already admitted still
+                        # execute and bill -- only replies are lost.
                         return
 
         writer_task = asyncio.get_running_loop().create_task(writer_loop())
@@ -243,6 +298,8 @@ class IntersectionServer:
                     # The transport contract is broken; one typed reply,
                     # then the connection is unusable.
                     enqueue(error_reply("bad-frame", str(exc)))
+                    break
+                except (_StopReading, ConnectionError):
                     break
                 if request is None:
                     break

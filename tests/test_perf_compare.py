@@ -310,21 +310,27 @@ class TestTimeOp:
         assert result["ops_per_s"] > 0
         assert result["wall_s"] > 0
 
-    def test_wall_time_excludes_the_warmup_call(self):
-        import time as _time
+    def test_wall_time_excludes_the_warmup_call(self, monkeypatch):
+        import types
 
-        from repro.perf.bench import _time_op
+        from repro.perf import bench
 
-        state = {"first": True}
+        # A fake clock, so no host stall can move the numbers: the
+        # calibration call costs 200 ticks, every timed call 1.
+        clock = {"now": 0, "calls": 0}
 
         def op():
-            if state["first"]:
-                state["first"] = False
-                _time.sleep(0.2)
+            clock["now"] += 200 if clock["calls"] == 0 else 1
+            clock["calls"] += 1
 
-        result = _time_op(op, 0.0)
-        # The slow call was the calibration run; the four timed blocks (one
-        # fast iteration each, since target/once rounds to one) must not
-        # include its 200ms.
-        assert result["iterations"] == 4
-        assert result["wall_s"] < 0.1
+        monkeypatch.setattr(
+            bench, "time", types.SimpleNamespace(perf_counter=lambda: clock["now"])
+        )
+        result = bench._time_op(op, 1600)
+        # target / once = 1600 / 200 = 8 calls, split into four blocks of
+        # two; the blocks cover exactly their 8 one-tick calls and not
+        # the 200-tick warm-up.
+        assert result["iterations"] == 8
+        assert result["wall_s"] == 8
+        assert result["ops_per_s"] == 1.0
+        assert clock["calls"] == 9

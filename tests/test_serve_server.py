@@ -6,11 +6,13 @@ clients take, including the backpressure and typed-shedding contract.
 """
 
 import asyncio
+import socket
 
 import pytest
 
 from conftest import make_instance
 from repro.serve import IntersectionServer, ServeConfig
+from repro.serve import server as server_module
 from repro.serve.wire import FrameReader, encode_frame
 
 
@@ -231,6 +233,171 @@ class TestBackpressure:
 
         reply = _with_server(ServeConfig(tick_s=0.001), scenario)
         assert reply["ok"] and reply["result"] == len(s & t)
+
+
+class TestStop:
+    """``stop()`` finishes every connection: no handler task outlives it
+    for ``asyncio.run`` to cancel (each such cancellation used to print a
+    ``CancelledError`` traceback through the loop's exception handler)."""
+
+    @staticmethod
+    def _run(scenario):
+        """Run ``scenario()`` under a 10 s lid (a hang becomes a
+        TimeoutError) as ``asyncio.run`` would; return its result and the
+        loop's exception-handler calls, including those of the teardown,
+        which cancels whatever is left."""
+        seen = []
+
+        async def cancel_the_rest():
+            left = asyncio.all_tasks() - {asyncio.current_task()}
+            for task in left:
+                task.cancel()
+            await asyncio.gather(*left, return_exceptions=True)
+
+        loop = asyncio.new_event_loop()
+        loop.set_exception_handler(lambda loop, context: seen.append(context))
+        try:
+            result = loop.run_until_complete(asyncio.wait_for(scenario(), 10))
+        finally:
+            loop.run_until_complete(cancel_the_rest())
+            loop.close()
+        return result, seen
+
+    @staticmethod
+    def _handlers_left():
+        return [
+            name
+            for name in (t.get_coro().__qualname__ for t in asyncio.all_tasks())
+            if name.startswith("IntersectionServer.")
+        ]
+
+    def _stop_with_client(self, client_closes_first, requests=(), tick_s=0.002):
+        async def scenario():
+            server = IntersectionServer(ServeConfig(tick_s=tick_s))
+            await server.start()
+            frames, writer = await _client(server)
+            assert (await _ask(frames, writer, {"op": "ping"}))["pong"]
+            for request in requests:
+                writer.write(encode_frame(request))
+            await writer.drain()
+            while server.coalescer.pending < sum("id" in r for r in requests):
+                await asyncio.sleep(0)
+            if client_closes_first:
+                writer.close()
+                await writer.wait_closed()
+            await server.stop()
+            left = self._handlers_left()
+            replies = []
+            if not client_closes_first:
+                while (reply := await frames.next()) is not None:
+                    replies.append(reply)
+                writer.close()
+            return left, replies
+
+        (left, replies), seen = self._run(scenario)
+        return left, replies, seen
+
+    @pytest.mark.parametrize("client_closes_first", [True, False])
+    def test_no_connection_handler_outlives_stop(self, client_closes_first):
+        left, replies, seen = self._stop_with_client(client_closes_first)
+        assert left == []
+        assert replies == []  # a still-connected client just sees EOF
+        assert seen == []
+
+    def test_stop_answers_admitted_operations(self, rng):
+        s, t = make_instance(rng, 1 << 20, 16, 0.5)
+        requests = (
+            {"op": "open", "session": "a", "universe": 1 << 20, "k": 16},
+            {"op": "size", "id": 7, "session": "a",
+             "alice": sorted(s), "bob": sorted(t)},
+        )
+        left, replies, seen = self._stop_with_client(
+            False, requests, tick_s=0.05
+        )
+        assert left == [] and seen == []
+        assert [reply.get("id") for reply in replies] == [None, 7]
+        assert replies[1]["ok"] and replies[1]["result"] == len(s & t)
+
+    def test_burst_written_across_stop_is_answered(self, monkeypatch, rng):
+        # The client closes well inside the grace period; a long one keeps
+        # a host stall from ending the reading early.
+        monkeypatch.setattr(server_module, "STOP_GRACE_S", 10.0)
+        s, t = make_instance(rng, 1 << 20, 16, 0.5)
+
+        def burst(first_id):
+            return [
+                {"op": "size", "id": i, "session": "a",
+                 "alice": sorted(s), "bob": sorted(t)}
+                if i % 10 == 0 else {"op": "ping", "id": i}
+                for i in range(first_id, first_id + 300)
+            ]
+
+        def encode(requests):
+            return b"".join(encode_frame(request) for request in requests)
+
+        async def scenario():
+            server = IntersectionServer(ServeConfig(tick_s=0.001))
+            await server.start()
+            frames, writer = await _client(server)
+            await _ask(frames, writer, {"op": "open", "session": "a",
+                                        "universe": 1 << 20, "k": 16})
+            writer.write(encode(burst(0)))
+            await writer.drain()
+            replies = [await frames.next() for _ in range(300)]
+            stopping = asyncio.get_running_loop().create_task(server.stop())
+            await asyncio.sleep(0)  # stop() has begun: the server is closing
+            # Sent after stop() began, so still unread when it did.
+            writer.write(encode(burst(300)))
+            await writer.drain()
+            writer.write_eof()
+            # A reset would raise here instead of reading to end-of-stream.
+            while (reply := await frames.next()) is not None:
+                replies.append(reply)
+            await stopping
+            writer.close()
+            return replies
+
+        replies, seen = self._run(scenario)
+        assert seen == []
+        assert sorted(reply["id"] for reply in replies) == list(range(600))
+        for reply in replies:
+            if reply["id"] % 10:
+                assert reply["pong"]
+            elif reply["id"] < 300:
+                assert reply["ok"] and reply["result"] == len(s & t)
+            else:
+                assert reply["error"]["type"] == "shutting-down"
+
+    def test_client_that_does_not_read_cannot_hold_stop(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(server_module, "STOP_GRACE_S", 0.1)
+        path = str(tmp_path / "serve.sock")
+
+        async def scenario():
+            server = IntersectionServer(
+                ServeConfig(transport="uds", uds_path=path)
+            )
+            await server.start()
+            # A bare socket: nothing reads from it, not even a transport.
+            client = socket.socket(socket.AF_UNIX)
+            client.setblocking(False)
+            loop = asyncio.get_running_loop()
+            await loop.sock_connect(client, path)
+            # Far more replies than the socket holds.
+            await loop.sock_sendall(client, encode_frame({"op": "ping"}) * 20_000)
+            (_, server_writer), = server._connections.values()
+            # Until the server's write buffer passes its high-water mark,
+            # which is when its writer blocks in drain().
+            while server_writer.transport.get_write_buffer_size() < 1 << 16:
+                await asyncio.sleep(0.01)
+            await server.stop()
+            left = self._handlers_left()
+            client.close()
+            return left
+
+        left, seen = self._run(scenario)
+        assert left == [] and seen == []
 
 
 class TestUnixTransport:
